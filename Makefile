@@ -1,5 +1,6 @@
 # Standard development targets. `make ci` is the gate every change must
-# pass: build, vet, and the full test suite under the race detector.
+# pass; it runs scripts/ci.sh, the one definition of the gate's steps.
+# The individual targets below are for running single steps locally.
 
 GO ?= go
 
@@ -92,4 +93,5 @@ learncheck:
 	$(GO) test -run 'TestLearnChurnGoldenReplay|TestLearnChurnShardInvariance' -count=1 ./internal/experiments/
 	$(GO) test -race -run 'TestReplayShardInvariant|TestRetireInvalidatesBypassTokens|TestSwapMatchesFromScratchRebuild|TestLearnChurnRaceStress' -count=1 ./internal/serve/
 
-ci: build vet lint race bench-smoke bench-compact bench-learn api-check fleetcheck learncheck loadcheck
+ci:
+	scripts/ci.sh

@@ -225,9 +225,10 @@ func BenchmarkBypassToken(b *testing.B) {
 	})
 }
 
-// BenchmarkEndToEndAllocation (E10): one manager request/release cycle
-// on the fig. 1 platform.
-func BenchmarkEndToEndAllocation(b *testing.B) {
+// BenchmarkFigureOneSystemRun (E10): one whole experiments.SystemRun —
+// building the fig. 1 platform and case base, then playing the full
+// application mix through the allocation manager.
+func BenchmarkFigureOneSystemRun(b *testing.B) {
 	res, err := experiments.SystemRun()
 	if err != nil {
 		b.Fatal(err)

@@ -3,11 +3,13 @@
 // run-time enabling for a self-learning system" — end to end through the
 // public API: an implementation's real QoS degrades below its
 // advertisement, run-time observations revise the case base, a new
-// variant is retained from a repository update, and the allocation
-// manager hot-swaps the rebuilt tree (invalidating its bypass tokens).
+// variant is retained from a repository update, and the service commits
+// each change as a new epoch while it keeps serving (the commit empties
+// the bypass-token caches).
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,37 +32,47 @@ func main() {
 		qosalloc.NewProcessorDevice("dsp0", qosalloc.TargetDSP, 1000, 192<<10),
 		qosalloc.NewProcessorDevice("gpp0", qosalloc.TargetGPP, 1000, 256<<10),
 	)
-	m := qosalloc.NewManager(cb, rt, qosalloc.ManagerOptions{UseBypassTokens: true})
+	// EWMA weight 0.6 per observation; commits happen only where this
+	// driver calls CommitNow or Retain (the fold threshold of 64 pending
+	// revisions is never reached, and no age bound is set).
+	svc := qosalloc.NewService(cb, rt,
+		qosalloc.WithBypassTokens(true),
+		qosalloc.WithLearning(0.6, 64, 0))
+	defer svc.Close()
+	ctx := context.Background()
 	req := qosalloc.PaperRequest()
 
 	// 1. Normal operation: the DSP equalizer wins (Table 1).
-	d, err := m.Request("mp3", req, 5)
+	d, err := svc.Allocate(ctx, "mp3", req, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("before learning: impl %d on %s (S=%.2f)\n", d.Impl, d.Device, d.Similarity)
-	if err := m.Release(d.Task.ID); err != nil {
+	if err := svc.Release(d.Task.ID); err != nil {
 		log.Fatal(err)
 	}
 
 	// 2. Monitors keep observing that the DSP variant only sustains
 	// 20 kS/s instead of the advertised 44 — the revise step.
-	learner, err := qosalloc.NewLearner(cb, 0.6)
-	if err != nil {
-		log.Fatal(err)
-	}
 	for i := 0; i < 8; i++ {
-		if err := learner.Observe(qosalloc.Observation{
+		if err := svc.Observe(qosalloc.Observation{
 			Type: 1, Impl: 2,
 			Measured: []qosalloc.AttrPair{{ID: 4, Value: 20}}, // sample-rate
 		}); err != nil {
 			log.Fatal(err)
 		}
 	}
+	epoch, err := svc.CommitNow()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("revision committed: epoch %d, %d observations folded\n",
+		epoch, svc.EpochStats().FoldedObs)
 
 	// 3. Meanwhile a new, better DSP build lands in the repository —
-	// the retain step.
-	newID, err := learner.Retain(1, qosalloc.Implementation{
+	// the retain step. Retain registers its configuration blob and
+	// commits the next epoch.
+	newID, err := svc.Retain(1, qosalloc.Implementation{
 		Name: "fir-eq-dsp-v2", Target: qosalloc.TargetDSP,
 		Attrs: []qosalloc.AttrPair{
 			{ID: 1, Value: 16}, // bitwidth
@@ -68,28 +80,15 @@ func main() {
 			{ID: 4, Value: 40}, // exactly the requested rate
 		},
 		Foot: qosalloc.Footprint{CPULoad: 420, MemBytes: 24 << 10, PowerMW: 210, ConfigBytes: 20 << 10},
-	})
+	}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("retained new variant: impl %d\n", newID)
+	fmt.Printf("retained new variant: impl %d (epoch %d)\n", newID, svc.Epoch())
 
-	// 4. Rebuild and hot-swap: the manager's engine and tokens follow.
-	cb2, changed, err := learner.Rebuild()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := repo.Store(1, newID, qosalloc.Blob{
-		Target: qosalloc.TargetDSP, Bytes: 20 << 10,
-	}); err != nil {
-		log.Fatal(err)
-	}
-	m.UpdateCaseBase(cb2)
-	fmt.Printf("case base rebuilt: %d entries changed, tokens invalidated\n", changed)
-
-	// 5. The same request now retrieves the revised tree: the degraded
+	// 4. The same request now retrieves the revised tree: the degraded
 	// DSP variant lost its lead and the freshly retained v2 wins.
-	d2, err := m.Request("mp3", req, 5)
+	d2, err := svc.Allocate(ctx, "mp3", req, 5)
 	if err != nil {
 		log.Fatal(err)
 	}

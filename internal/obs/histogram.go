@@ -26,7 +26,7 @@ var (
 	// tens of milliseconds (large partial bitstreams over ICAP).
 	LatencyBucketsMicros = []int64{10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000}
 	// DepthBuckets suits small walk depths and queue lengths (N-best
-	// list positions, pool idle lengths, retry counts).
+	// list positions, queue lengths, retry counts).
 	DepthBuckets = []int64{1, 2, 3, 5, 8, 13, 21}
 	// CountBuckets suits per-operation work counts (implementations
 	// scored, attributes compared per retrieval).

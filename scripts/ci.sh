@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate: build, vet, the qosvet invariant suite, the full test suite
 # under the race detector, the observability golden tests, and a
-# one-iteration benchmark smoke pass. Mirrors `make ci` for
-# environments without make.
+# one-iteration benchmark smoke pass. `make ci` runs this script, so
+# this file is the one definition of the gate.
 set -eux
 
 go build ./...
