@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -101,6 +102,42 @@ func lockstepOptions() options {
 	opt.lockstep = true
 	opt.drainTimeout = 5 * time.Second
 	return opt
+}
+
+// TestDaemonForgetsReleasedTasks runs 10k allocate/release cycles
+// through a live daemon's service: the runtime must hold only the live
+// tasks, not one record per allocation ever made, and a released task
+// stays unknown to /v1/release.
+func TestDaemonForgetsReleasedTasks(t *testing.T) {
+	opt := lockstepOptions()
+	d, base, sig, done := startDaemon(t, opt)
+	defer func() { sig <- syscall.SIGTERM; <-done }()
+	reqs := testRequests(t, opt, 64)
+	tasks := func() (n int) {
+		d.svc.Exclusive(func() { n = len(d.svc.System().Tasks()) })
+		return n
+	}
+	var last qosalloc.TaskID
+	for i := 0; i < 10000; i++ {
+		dec, err := d.svc.Allocate(context.Background(), "app0", reqs[i%len(reqs)].Request(), 5)
+		if err != nil {
+			t.Fatalf("allocate %d: %v", i, err)
+		}
+		if n := tasks(); n != 1 {
+			t.Fatalf("cycle %d: %d tasks held with one placement live", i, n)
+		}
+		last = dec.Task.ID
+		if err := d.svc.Release(last); err != nil {
+			t.Fatalf("release %d: %v", i, err)
+		}
+	}
+	if n := tasks(); n != 0 {
+		t.Fatalf("%d tasks held after every placement was released", n)
+	}
+	resp, body := post(t, base+"/v1/release", wire.ReleaseRequest{Client: "t", Task: int(last)}, 1000, nil)
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(body, wire.CodeUnknownTask) {
+		t.Fatalf("double release: %d %s", resp.StatusCode, body)
+	}
 }
 
 func TestDaemonServesRetrieveAllocateRelease(t *testing.T) {

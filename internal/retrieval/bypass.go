@@ -1,9 +1,8 @@
 package retrieval
 
 import (
-	"container/list"
+	"encoding/binary"
 	"math"
-	"strconv"
 
 	"qosalloc/internal/casebase"
 )
@@ -27,10 +26,13 @@ type Token struct {
 	Similarity float64
 }
 
-// tokenEntry is one LRU node: the signature key plus its token.
-type tokenEntry struct {
-	key string
-	tok Token
+// tokenSlot is one LRU entry: the signature key, its token and the
+// recency links, which are indices into TokenCache.slots (-1 ends the
+// list).
+type tokenSlot struct {
+	key        string
+	tok        Token
+	prev, next int32
 }
 
 // TokenCache maps request signatures to bypass tokens with LRU
@@ -39,22 +41,30 @@ type tokenEntry struct {
 // successful placement and invalidates it when the case base changes or
 // the pinned implementation is evicted. Not safe for concurrent use;
 // the allocation manager — and each serve shard — serializes access.
+//
+// The entries live in one dense slice threaded by a doubly linked
+// recency list of slot indices, so a stored token costs its map entry,
+// its slot and its key, and no per-entry list node.
 type TokenCache struct {
-	tokens    map[string]*list.Element // value: *tokenEntry
-	order     *list.List               // front = most recently used
-	max       int
-	epoch     uint64 // case-base epoch the live tokens were minted against
-	hits      int
-	misses    int
-	evictions int
+	index map[string]int32 // signature → slot
+	// slots is dense: removing an entry moves the last slot into the
+	// hole and re-points its neighbours and its index entry.
+	slots      []tokenSlot
+	head, tail int32 // most and least recently used slot, -1 when empty
+	max        int
+	epoch      uint64 // case-base epoch the live tokens were minted against
+	hits       int
+	misses     int
+	evictions  int
 }
 
 // NewTokenCache returns an empty cache capped at DefaultMaxTokens.
 func NewTokenCache() *TokenCache {
 	return &TokenCache{
-		tokens: make(map[string]*list.Element),
-		order:  list.New(),
-		max:    DefaultMaxTokens,
+		index: make(map[string]int32),
+		head:  -1,
+		tail:  -1,
+		max:   DefaultMaxTokens,
 	}
 }
 
@@ -66,39 +76,93 @@ func (tc *TokenCache) SetMaxTokens(n int) {
 		n = 0
 	}
 	tc.max = n
-	for tc.order.Len() > n {
+	for len(tc.slots) > n {
 		tc.evictOldest()
 	}
 }
 
 // evictOldest drops the LRU tail entry.
 func (tc *TokenCache) evictOldest() {
-	back := tc.order.Back()
-	if back == nil {
+	if tc.tail < 0 {
 		return
 	}
-	tc.order.Remove(back)
-	delete(tc.tokens, back.Value.(*tokenEntry).key)
+	tc.remove(tc.tail)
 	tc.evictions++
+}
+
+// unlink takes slot i out of the recency list.
+func (tc *TokenCache) unlink(i int32) {
+	sl := &tc.slots[i]
+	if sl.prev >= 0 {
+		tc.slots[sl.prev].next = sl.next
+	} else {
+		tc.head = sl.next
+	}
+	if sl.next >= 0 {
+		tc.slots[sl.next].prev = sl.prev
+	} else {
+		tc.tail = sl.prev
+	}
+}
+
+// pushFront links slot i in as the most recently used.
+func (tc *TokenCache) pushFront(i int32) {
+	sl := &tc.slots[i]
+	sl.prev, sl.next = -1, tc.head
+	if tc.head >= 0 {
+		tc.slots[tc.head].prev = i
+	} else {
+		tc.tail = i
+	}
+	tc.head = i
+}
+
+// touch makes slot i the most recently used.
+func (tc *TokenCache) touch(i int32) {
+	if tc.head != i {
+		tc.unlink(i)
+		tc.pushFront(i)
+	}
+}
+
+// remove deletes slot i and fills the hole with the last slot.
+func (tc *TokenCache) remove(i int32) {
+	tc.unlink(i)
+	delete(tc.index, tc.slots[i].key)
+	last := int32(len(tc.slots) - 1)
+	if i != last {
+		moved := tc.slots[last]
+		tc.slots[i] = moved
+		if moved.prev >= 0 {
+			tc.slots[moved.prev].next = i
+		} else {
+			tc.head = i
+		}
+		if moved.next >= 0 {
+			tc.slots[moved.next].prev = i
+		} else {
+			tc.tail = i
+		}
+		tc.index[moved.key] = i
+	}
+	tc.slots[last] = tokenSlot{} // drop the key string
+	tc.slots = tc.slots[:last]
 }
 
 // Signature derives the cache key from a request: function type plus the
 // sorted (ID, value, weight) constraint list. Two requests with the same
 // signature would retrieve the same implementation, so the retrieval can
 // be bypassed for the second one. Weights participate via their exact
-// bit pattern — the key sits on the hot batching path, so it is built
-// with strconv appends, never fmt.
+// bit pattern. The key is binary — 16-bit type, then 16-bit ID, 16-bit
+// value and the 64-bit weight per constraint, little-endian — because
+// it is only ever a map key, and it sits on the hot batching path.
 func Signature(req casebase.Request) string {
-	b := make([]byte, 0, 8+24*len(req.Constraints))
-	b = append(b, 't')
-	b = strconv.AppendUint(b, uint64(req.Type), 10)
+	var buf [2 + 12*8]byte // a request of up to 8 constraints stays on the stack
+	b := binary.LittleEndian.AppendUint16(buf[:0], uint16(req.Type))
 	for _, c := range req.Constraints {
-		b = append(b, '|')
-		b = strconv.AppendUint(b, uint64(c.ID), 10)
-		b = append(b, '=')
-		b = strconv.AppendUint(b, uint64(c.Value), 10)
-		b = append(b, '*')
-		b = strconv.AppendUint(b, math.Float64bits(c.Weight), 16)
+		b = binary.LittleEndian.AppendUint16(b, uint16(c.ID))
+		b = binary.LittleEndian.AppendUint16(b, uint16(c.Value))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Weight))
 	}
 	return string(b)
 }
@@ -113,14 +177,14 @@ func (tc *TokenCache) Lookup(req casebase.Request) (Token, bool) {
 // already derived the signature (the serve batcher dedups on it) avoid
 // recomputing it.
 func (tc *TokenCache) LookupSig(sig string) (Token, bool) {
-	el, ok := tc.tokens[sig]
+	i, ok := tc.index[sig]
 	if !ok {
 		tc.misses++
 		return Token{}, false
 	}
 	tc.hits++
-	tc.order.MoveToFront(el)
-	return el.Value.(*tokenEntry).tok, true
+	tc.touch(i)
+	return tc.slots[i].tok, true
 }
 
 // Store caches a token for req as the most recently used entry, evicting
@@ -131,13 +195,16 @@ func (tc *TokenCache) Store(req casebase.Request, t Token) {
 
 // StoreSig is Store keyed by a precomputed Signature.
 func (tc *TokenCache) StoreSig(key string, t Token) {
-	if el, ok := tc.tokens[key]; ok {
-		el.Value.(*tokenEntry).tok = t
-		tc.order.MoveToFront(el)
+	if i, ok := tc.index[key]; ok {
+		tc.slots[i].tok = t
+		tc.touch(i)
 		return
 	}
-	tc.tokens[key] = tc.order.PushFront(&tokenEntry{key: key, tok: t})
-	for tc.order.Len() > tc.max {
+	i := int32(len(tc.slots))
+	tc.slots = append(tc.slots, tokenSlot{key: key, tok: t})
+	tc.index[key] = i
+	tc.pushFront(i)
+	for len(tc.slots) > tc.max {
 		tc.evictOldest()
 	}
 }
@@ -148,23 +215,23 @@ func (tc *TokenCache) StoreSig(key string, t Token) {
 // are not counted as evictions.
 func (tc *TokenCache) InvalidateType(t casebase.TypeID) int {
 	n := 0
-	var next *list.Element
-	for el := tc.order.Front(); el != nil; el = next {
-		next = el.Next()
-		ent := el.Value.(*tokenEntry)
-		if ent.tok.Type == t {
-			tc.order.Remove(el)
-			delete(tc.tokens, ent.key)
+	for i := int32(0); int(i) < len(tc.slots); {
+		if tc.slots[i].tok.Type == t {
+			tc.remove(i) // the last slot moved into i: look at i again
 			n++
+			continue
 		}
+		i++
 	}
 	return n
 }
 
 // InvalidateAll empties the cache.
 func (tc *TokenCache) InvalidateAll() {
-	tc.tokens = make(map[string]*list.Element)
-	tc.order.Init()
+	clear(tc.index)
+	clear(tc.slots)
+	tc.slots = tc.slots[:0]
+	tc.head, tc.tail = -1, -1
 }
 
 // Epoch returns the case-base epoch the live tokens were minted against
@@ -181,14 +248,14 @@ func (tc *TokenCache) SetEpoch(epoch uint64) int {
 	if epoch == tc.epoch {
 		return 0
 	}
-	n := tc.order.Len()
+	n := len(tc.slots)
 	tc.InvalidateAll()
 	tc.epoch = epoch
 	return n
 }
 
 // Len returns the number of live tokens.
-func (tc *TokenCache) Len() int { return tc.order.Len() }
+func (tc *TokenCache) Len() int { return len(tc.slots) }
 
 // HitRate returns hits/(hits+misses), or 0 before any lookup.
 func (tc *TokenCache) HitRate() float64 {

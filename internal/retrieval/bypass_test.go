@@ -1,6 +1,9 @@
 package retrieval
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"qosalloc/internal/attr"
@@ -173,9 +176,11 @@ func TestTokenCacheStoreRefreshesRecency(t *testing.T) {
 	if n := tc.InvalidateType(1); n != 2 {
 		t.Errorf("InvalidateType = %d, want 2", n)
 	}
-	if tc.Len() != 0 || tc.order.Len() != 0 {
-		t.Errorf("map/list out of sync after invalidate: %d/%d", tc.Len(), tc.order.Len())
+	if len(tc.index) != 0 || len(tc.slots) != 0 || tc.head != -1 || tc.tail != -1 {
+		t.Errorf("index/slots/list out of sync after invalidate: %d/%d, head %d tail %d",
+			len(tc.index), len(tc.slots), tc.head, tc.tail)
 	}
+	checkLRU(t, tc)
 }
 
 func TestTokenCacheSetEpoch(t *testing.T) {
@@ -209,5 +214,183 @@ func TestTokenCacheSetEpoch(t *testing.T) {
 	}
 	if _, ok := tc.Lookup(req); ok {
 		t.Fatal("stale-epoch token still served")
+	}
+}
+
+// checkLRU asserts the cache's internal invariants: the index and the
+// dense slots agree entry for entry, and the recency list threads every
+// slot exactly once from head to tail with consistent back links.
+func checkLRU(t *testing.T, tc *TokenCache) {
+	t.Helper()
+	if len(tc.index) != len(tc.slots) {
+		t.Fatalf("index has %d keys, slots hold %d", len(tc.index), len(tc.slots))
+	}
+	for i, sl := range tc.slots {
+		if j, ok := tc.index[sl.key]; !ok || j != int32(i) {
+			t.Fatalf("slot %d key %q indexed at %d (present %v)", i, sl.key, j, ok)
+		}
+	}
+	n, prev := 0, int32(-1)
+	for i := tc.head; i >= 0; i = tc.slots[i].next {
+		if n == len(tc.slots) {
+			t.Fatalf("recency list longer than the %d slots (cycle)", n)
+		}
+		if tc.slots[i].prev != prev {
+			t.Fatalf("slot %d links back to %d, want %d", i, tc.slots[i].prev, prev)
+		}
+		prev = i
+		n++
+	}
+	if n != len(tc.slots) || tc.tail != prev {
+		t.Fatalf("recency list visits %d of %d slots and ends at %d, tail %d", n, len(tc.slots), prev, tc.tail)
+	}
+}
+
+// modelLRU is the naive reference TokenCache: a most-recent-first
+// slice searched linearly.
+type modelLRU struct {
+	keys      []string
+	toks      []Token
+	max       int
+	epoch     uint64
+	hits      int
+	misses    int
+	evictions int
+}
+
+func (m *modelLRU) find(key string) int { return slices.Index(m.keys, key) }
+
+func (m *modelLRU) del(i int) {
+	m.keys = slices.Delete(m.keys, i, i+1)
+	m.toks = slices.Delete(m.toks, i, i+1)
+}
+
+func (m *modelLRU) front(key string, tok Token) {
+	m.keys = slices.Insert(m.keys, 0, key)
+	m.toks = slices.Insert(m.toks, 0, tok)
+}
+
+func (m *modelLRU) trim() {
+	for len(m.keys) > m.max {
+		m.del(len(m.keys) - 1)
+		m.evictions++
+	}
+}
+
+func (m *modelLRU) store(key string, tok Token) {
+	if i := m.find(key); i >= 0 {
+		m.del(i)
+	}
+	m.front(key, tok)
+	m.trim()
+}
+
+func (m *modelLRU) lookup(key string) (Token, bool) {
+	i := m.find(key)
+	if i < 0 {
+		m.misses++
+		return Token{}, false
+	}
+	m.hits++
+	tok := m.toks[i]
+	m.del(i)
+	m.front(key, tok)
+	return tok, true
+}
+
+func (m *modelLRU) invalidateType(ty casebase.TypeID) int {
+	n := 0
+	for i := 0; i < len(m.keys); {
+		if m.toks[i].Type == ty {
+			m.del(i)
+			n++
+			continue
+		}
+		i++
+	}
+	return n
+}
+
+func (m *modelLRU) setEpoch(e uint64) int {
+	if e == m.epoch {
+		return 0
+	}
+	n := len(m.keys)
+	m.keys, m.toks, m.epoch = nil, nil, e
+	return n
+}
+
+// TestTokenCacheMatchesModel drives random Store, Lookup,
+// InvalidateType, InvalidateAll, SetMaxTokens and SetEpoch sequences
+// through a TokenCache and the naive reference LRU, and requires the
+// same answers, counters and recency order after every step. The
+// small key and type spaces keep hits, refreshes and swap-removes of
+// every slot position frequent.
+func TestTokenCacheMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tc := NewTokenCache()
+		m := &modelLRU{max: DefaultMaxTokens}
+		for step := 0; step < 400; step++ {
+			key := fmt.Sprint("k", r.Intn(24))
+			tok := Token{Type: casebase.TypeID(r.Intn(4)), Impl: casebase.ImplID(r.Intn(100)), Similarity: r.Float64()}
+			var op string
+			switch p := r.Intn(100); {
+			case p < 40:
+				op = "store " + key
+				tc.StoreSig(key, tok)
+				m.store(key, tok)
+			case p < 80:
+				op = "lookup " + key
+				got, ok := tc.LookupSig(key)
+				want, wok := m.lookup(key)
+				if got != want || ok != wok {
+					t.Fatalf("seed %d step %d %s: got %+v %v, want %+v %v", seed, step, op, got, ok, want, wok)
+				}
+			case p < 88:
+				op = fmt.Sprint("invalidate type ", tok.Type)
+				if got, want := tc.InvalidateType(tok.Type), m.invalidateType(tok.Type); got != want {
+					t.Fatalf("seed %d step %d %s: dropped %d, want %d", seed, step, op, got, want)
+				}
+			case p < 95:
+				n := r.Intn(12) - 1
+				op = fmt.Sprint("set max ", n)
+				tc.SetMaxTokens(n)
+				m.max = max(n, 0)
+				m.trim()
+			case p < 98:
+				e := uint64(r.Intn(3))
+				op = fmt.Sprint("set epoch ", e)
+				if got, want := tc.SetEpoch(e), m.setEpoch(e); got != want {
+					t.Fatalf("seed %d step %d %s: dropped %d, want %d", seed, step, op, got, want)
+				}
+			default:
+				op = "invalidate all"
+				tc.InvalidateAll()
+				m.keys, m.toks = nil, nil
+			}
+			checkLRU(t, tc)
+			var order []string
+			for i := tc.head; i >= 0; i = tc.slots[i].next {
+				order = append(order, tc.slots[i].key)
+				if len(order) > len(m.keys) {
+					t.Fatalf("seed %d step %d %s: %d tokens, want %d", seed, step, op, tc.Len(), len(m.keys))
+				}
+				if tc.slots[i].tok != m.toks[len(order)-1] {
+					t.Fatalf("seed %d step %d %s: token of %q = %+v, want %+v",
+						seed, step, op, tc.slots[i].key, tc.slots[i].tok, m.toks[len(order)-1])
+				}
+			}
+			if !slices.Equal(order, m.keys) {
+				t.Fatalf("seed %d step %d %s: recency order %v, want %v", seed, step, op, order, m.keys)
+			}
+			hits, misses := tc.Counters()
+			if tc.Len() != len(m.keys) || hits != m.hits || misses != m.misses ||
+				tc.Evictions() != m.evictions || tc.Epoch() != m.epoch {
+				t.Fatalf("seed %d step %d %s: len %d hits %d misses %d evictions %d epoch %d, want %d %d %d %d %d",
+					seed, step, op, tc.Len(), hits, misses, tc.Evictions(), tc.Epoch(),
+					len(m.keys), m.hits, m.misses, m.evictions, m.epoch)
+			}
+		}
 	}
 }

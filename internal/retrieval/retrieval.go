@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"qosalloc/internal/casebase"
+	"qosalloc/internal/fixed"
 	"qosalloc/internal/similarity"
 )
 
@@ -67,7 +68,9 @@ type Options struct {
 	CompactLayout bool
 }
 
-// Engine performs floating-point retrieval over a case base.
+// Engine performs floating-point retrieval over a case base. It reuses
+// scratch buffers across calls and is not safe for concurrent use: give
+// each goroutine its own Engine (the serve shards each hold one).
 type Engine struct {
 	cb    *casebase.CaseBase
 	opt   Options
@@ -76,6 +79,13 @@ type Engine struct {
 	// compact is the block-compacted kernel, non-nil only when
 	// Options.CompactLayout applies (default measures, no locals).
 	compact *CompactEngine
+
+	// Scratch every walk reuses, one slot per request constraint: the
+	// hoisted weights and DMax values, and the local similarities of
+	// the implementation being scored.
+	weights []float64
+	dmax    []uint16
+	sims    []float64
 }
 
 // Stats counts engine activity.
@@ -137,41 +147,113 @@ func (e *ErrNoMatch) Error() string {
 		e.Type, e.Threshold, e.Best)
 }
 
-// score computes the global similarity of one implementation against the
-// request. Missing implementation attributes contribute s_i = 0 — "a
-// missing attribute can be seen as unsatisfiable requirement" (§3).
-func (e *Engine) score(im *casebase.Implementation, req casebase.Request) (float64, []LocalScore) {
-	n := len(req.Constraints)
-	sims := make([]float64, n)
-	weights := make([]float64, n)
-	var locals []LocalScore
-	if e.opt.KeepLocals {
-		locals = make([]LocalScore, n)
+// walk is one pass over the requested type's implementation sub-list,
+// set up by begin: the request's constraints, with their weights and
+// DMax hoisted into the engine's scratch, and, on the compacted
+// datapath, the Q15 score column in storage order.
+type walk struct {
+	e      *Engine
+	typ    casebase.TypeID
+	cs     []casebase.Constraint
+	impls  []casebase.Implementation
+	column []fixed.Q15
+	start  int64
+}
+
+// begin validates req, counts one retrieval and prepares its walk. The
+// per-constraint weights and DMax are looked up once here, not once per
+// implementation.
+func (e *Engine) begin(req casebase.Request) (walk, error) {
+	if err := req.Validate(e.cb); err != nil {
+		return walk{}, err
 	}
-	for i, c := range req.Constraints {
-		weights[i] = c.Weight
-		dmax, err := e.cb.Registry().DMax(c.ID)
+	w := walk{e: e, typ: req.Type, cs: req.Constraints, start: e.met.start()}
+	ft, _ := e.cb.Type(req.Type)
+	w.impls = ft.Impls
+	e.stats.Retrievals++
+	e.met.Retrievals.Inc()
+	e.met.ImplsPerRetrieval.Observe(int64(len(ft.Impls)))
+	if e.compact != nil {
+		// Compacted datapath: one kernel pass yields the Q15 column in
+		// storage order; implementation metadata is zipped back in from
+		// the case base, which shares that order.
+		column, err := e.compact.scoreType(req)
 		if err != nil {
-			// Request validation catches this; scoring treats it
-			// as unsatisfiable to stay total.
-			dmax = 0
+			return walk{}, err
 		}
+		w.column = column
+		return w, nil
+	}
+	reg := e.cb.Registry()
+	e.weights, e.dmax = e.weights[:0], e.dmax[:0]
+	for _, c := range req.Constraints {
+		// Validate rejected unknown attributes, so the lookup cannot
+		// fail; a failure would score the attribute with DMax 0.
+		dmax, _ := reg.DMax(c.ID)
+		e.weights = append(e.weights, c.Weight)
+		e.dmax = append(e.dmax, dmax)
+	}
+	if cap(e.sims) < len(req.Constraints) {
+		e.sims = make([]float64, len(req.Constraints))
+	}
+	e.sims = e.sims[:len(req.Constraints)]
+	return w, nil
+}
+
+// score returns the global similarity of the i-th implementation,
+// filling locals (when non-nil) with its per-attribute breakdown.
+// Missing implementation attributes contribute s_i = 0 — "a missing
+// attribute can be seen as unsatisfiable requirement" (§3).
+func (w *walk) score(i int, locals []LocalScore) float64 {
+	if w.column != nil {
+		return w.column[i].Float()
+	}
+	e, im := w.e, &w.impls[i]
+	for k, c := range w.cs {
 		v, found := im.Attr(c.ID)
 		var s float64
 		if found {
-			s = e.opt.Local.Similarity(c.Value, v, dmax)
+			s = e.opt.Local.Similarity(c.Value, v, e.dmax[k])
 		}
-		sims[i] = s
-		e.stats.AttrsCompared++
-		e.met.AttrsCompared.Inc()
-		if e.opt.KeepLocals {
-			locals[i] = LocalScore{
+		e.sims[k] = s
+		if locals != nil {
+			locals[k] = LocalScore{
 				ID: uint16(c.ID), Req: uint16(c.Value), Impl: uint16(v),
-				Found: found, DMax: dmax, Sim: s, Weight: c.Weight,
+				Found: found, DMax: e.dmax[k], Sim: s, Weight: c.Weight,
 			}
 		}
 	}
-	return e.opt.Amalgamation.Combine(sims, weights), locals
+	return e.opt.Amalgamation.Combine(e.sims, e.weights)
+}
+
+// result is the i-th implementation scored s.
+func (w *walk) result(i int, s float64, locals []LocalScore) Result {
+	im := &w.impls[i]
+	return Result{
+		Type: w.typ, Impl: im.ID, Target: im.Target, Name: im.Name,
+		Similarity: s, Locals: locals,
+	}
+}
+
+// newLocals returns a breakdown buffer for one implementation, or nil
+// when the engine does not keep locals.
+func (w *walk) newLocals() []LocalScore {
+	if !w.e.opt.KeepLocals {
+		return nil
+	}
+	return make([]LocalScore, len(w.cs))
+}
+
+// finish counts the walk's scored implementations and attribute
+// comparisons — one counter update per walk, not one per attribute —
+// and records its latency.
+func (w *walk) finish() {
+	e, n := w.e, len(w.impls)
+	e.stats.ImplsScored += n
+	e.stats.AttrsCompared += n * len(w.cs)
+	e.met.ImplsScored.Add(int64(n))
+	e.met.AttrsCompared.Add(int64(n * len(w.cs)))
+	e.met.observeLatency(w.start)
 }
 
 // RetrieveAll scores every implementation of the requested type and
@@ -179,45 +261,14 @@ func (e *Engine) score(im *casebase.Implementation, req casebase.Request) (float
 // ascending implementation ID, the order the hardware scan would keep).
 // The threshold is NOT applied; callers see the full field.
 func (e *Engine) RetrieveAll(req casebase.Request) ([]Result, error) {
-	if err := req.Validate(e.cb); err != nil {
+	w, err := e.begin(req)
+	if err != nil {
 		return nil, err
 	}
-	start := e.met.start()
-	ft, _ := e.cb.Type(req.Type)
-	e.stats.Retrievals++
-	e.met.Retrievals.Inc()
-	e.met.ImplsPerRetrieval.Observe(int64(len(ft.Impls)))
-	out := make([]Result, 0, len(ft.Impls))
-	if e.compact != nil {
-		// Compacted datapath: one kernel pass yields the Q15 column in
-		// storage order; implementation metadata is zipped back in from
-		// the case base, which shares that order.
-		qs, err := e.compact.scoreType(req)
-		if err != nil {
-			return nil, err
-		}
-		for i := range ft.Impls {
-			im := &ft.Impls[i]
-			e.stats.ImplsScored++
-			e.met.ImplsScored.Inc()
-			e.stats.AttrsCompared += len(req.Constraints)
-			e.met.AttrsCompared.Add(int64(len(req.Constraints)))
-			out = append(out, Result{
-				Type: req.Type, Impl: im.ID, Target: im.Target, Name: im.Name,
-				Similarity: qs[i].Float(),
-			})
-		}
-	} else {
-		for i := range ft.Impls {
-			im := &ft.Impls[i]
-			s, locals := e.score(im, req)
-			e.stats.ImplsScored++
-			e.met.ImplsScored.Inc()
-			out = append(out, Result{
-				Type: req.Type, Impl: im.ID, Target: im.Target, Name: im.Name,
-				Similarity: s, Locals: locals,
-			})
-		}
+	out := make([]Result, 0, len(w.impls))
+	for i := range w.impls {
+		locals := w.newLocals()
+		out = append(out, w.result(i, w.score(i, locals), locals))
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Similarity != out[j].Similarity {
@@ -225,59 +276,94 @@ func (e *Engine) RetrieveAll(req casebase.Request) ([]Result, error) {
 		}
 		return out[i].Impl < out[j].Impl
 	})
-	e.met.observeLatency(start)
+	w.finish()
 	return out, nil
 }
 
 // Retrieve returns the most similar implementation, applying the
 // threshold. This is the fig. 6 algorithm: one pass over the
-// implementation sub-list keeping the running best.
+// implementation sub-list keeping the running best. It picks what
+// RetrieveAll ranks first.
 func (e *Engine) Retrieve(req casebase.Request) (Result, error) {
-	all, err := e.RetrieveAll(req)
+	w, err := e.begin(req)
 	if err != nil {
 		return Result{}, err
 	}
-	best := all[0]
-	if best.Similarity < e.opt.Threshold {
-		e.stats.BelowThreshold += len(all)
-		e.met.BelowThreshold.Add(int64(len(all)))
-		e.met.NoMatch.Inc()
-		return Result{}, &ErrNoMatch{Type: req.Type, Threshold: e.opt.Threshold, Best: best.Similarity}
-	}
-	for _, r := range all {
-		if r.Similarity < e.opt.Threshold {
-			e.stats.BelowThreshold++
-			e.met.BelowThreshold.Inc()
+	best, bestS, below := -1, 0.0, 0
+	var locals, bestLocals []LocalScore
+	for i := range w.impls {
+		if locals == nil {
+			locals = w.newLocals()
+		}
+		s := w.score(i, locals)
+		if s < e.opt.Threshold {
+			below++
+		}
+		if best < 0 || s > bestS || (s == bestS && w.impls[i].ID < w.impls[best].ID) {
+			best, bestS = i, s
+			// The old best's breakdown buffer is free for the next
+			// implementation.
+			bestLocals, locals = locals, bestLocals
 		}
 	}
-	return best, nil
+	w.finish()
+	e.stats.BelowThreshold += below
+	e.met.BelowThreshold.Add(int64(below))
+	if best < 0 || bestS < e.opt.Threshold {
+		e.met.NoMatch.Inc()
+		return Result{}, &ErrNoMatch{Type: req.Type, Threshold: e.opt.Threshold, Best: bestS}
+	}
+	return w.result(best, bestS, bestLocals), nil
 }
 
 // RetrieveN returns the up-to-n most similar implementations that meet
-// the threshold, best first — the §5 n-best extension. It returns
-// ErrNoMatch when none qualifies, so the caller can relax constraints.
+// the threshold, best first — the §5 n-best extension. It keeps a
+// bounded insertion list during the one pass, so the result equals the
+// threshold-filtered prefix of RetrieveAll. It returns ErrNoMatch when
+// none qualifies, so the caller can relax constraints.
 func (e *Engine) RetrieveN(req casebase.Request, n int) ([]Result, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("retrieval: n must be positive, got %d", n)
 	}
-	all, err := e.RetrieveAll(req)
+	w, err := e.begin(req)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, 0, n)
-	for _, r := range all {
-		if r.Similarity < e.opt.Threshold {
-			e.stats.BelowThreshold++
-			e.met.BelowThreshold.Inc()
+	out := make([]Result, 0, min(n, len(w.impls)))
+	bestS, below := 0.0, 0
+	var locals []LocalScore
+	for i := range w.impls {
+		if locals == nil {
+			locals = w.newLocals()
+		}
+		s := w.score(i, locals)
+		bestS = max(bestS, s)
+		if s < e.opt.Threshold {
+			below++
+			continue
+		}
+		// Insertion point: after every kept result that scores higher,
+		// or equal with a lower ID — RetrieveAll's order.
+		k, id := len(out), w.impls[i].ID
+		for k > 0 && (s > out[k-1].Similarity || (s == out[k-1].Similarity && id < out[k-1].Impl)) {
+			k--
+		}
+		if k == n {
 			continue
 		}
 		if len(out) < n {
-			out = append(out, r)
+			out = append(out, Result{})
 		}
+		copy(out[k+1:], out[k:len(out)-1])
+		out[k] = w.result(i, s, locals)
+		locals = nil
 	}
+	w.finish()
+	e.stats.BelowThreshold += below
+	e.met.BelowThreshold.Add(int64(below))
 	if len(out) == 0 {
 		e.met.NoMatch.Inc()
-		return nil, &ErrNoMatch{Type: req.Type, Threshold: e.opt.Threshold, Best: all[0].Similarity}
+		return nil, &ErrNoMatch{Type: req.Type, Threshold: e.opt.Threshold, Best: bestS}
 	}
 	return out, nil
 }

@@ -84,7 +84,9 @@ func (e *TransitionError) Error() string {
 // Unwrap makes errors.Is(err, ErrBadTransition) work.
 func (e *TransitionError) Unwrap() error { return ErrBadTransition }
 
-// Task is one function instantiation managed by the run-time system.
+// Task is one function instantiation managed by the run-time system,
+// from CreateTask until Complete: the system keeps it while it is live
+// and forgets it once it is Done.
 type Task struct {
 	ID       TaskID
 	App      string // owning application, for reports
@@ -205,13 +207,15 @@ func (s *System) DevicesByKind(k casebase.Target) []device.Device {
 	return out
 }
 
-// Task returns a task by handle.
+// Task returns a live task by handle; a completed task is forgotten and
+// reports false.
 func (s *System) Task(id TaskID) (*Task, bool) {
 	t, ok := s.tasks[id]
 	return t, ok
 }
 
-// Tasks returns all tasks sorted by ID.
+// Tasks returns the live tasks — every task created and not yet
+// completed — sorted by ID.
 func (s *System) Tasks() []*Task {
 	out := make([]*Task, 0, len(s.tasks))
 	for _, t := range s.tasks {
@@ -311,7 +315,10 @@ func (s *System) Preempt(t *Task) error {
 
 // Complete finishes a task and releases its device capacity. Failed
 // tasks may be completed too (the application gives up on them); their
-// capacity was already released when the fault hit.
+// capacity was already released when the fault hit. The system then
+// forgets the task: Task and Tasks no longer report it, so a long-lived
+// system holds only its live tasks, and completing it again fails
+// lookups by ID. The caller's *Task keeps its final Done state.
 func (s *System) Complete(t *Task) error {
 	switch t.State {
 	case Running, Configuring, Recovering:
@@ -333,6 +340,7 @@ func (s *System) Complete(t *Task) error {
 	s.setState(t, Done, "complete")
 	t.Finished = s.now
 	s.metrics.Completed++
+	delete(s.tasks, t.ID)
 	s.devSync()
 	return nil
 }

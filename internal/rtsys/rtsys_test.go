@@ -1,6 +1,7 @@
 package rtsys
 
 import (
+	"errors"
 	"testing"
 
 	"qosalloc/internal/casebase"
@@ -215,6 +216,37 @@ func TestTaskListingAndLookup(t *testing.T) {
 	}
 	if _, ok := s.Task(999); ok {
 		t.Error("unknown task must miss")
+	}
+}
+
+func TestCompleteForgetsTask(t *testing.T) {
+	s, cb := paperPlatform(t)
+	im := implOf(t, cb, casebase.TypeFIREqualizer, 2)
+	dsp := s.DevicesByKind(casebase.TargetDSP)[0]
+	keep := s.CreateTask("keep", casebase.TypeFIREqualizer, 0)
+	for i := 0; i < 10000; i++ {
+		task := s.CreateTask("app", casebase.TypeFIREqualizer, 5)
+		if err := s.Place(task, dsp, im); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Complete(task); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Task(task.ID); ok {
+			t.Fatalf("completed task %d still listed", task.ID)
+		}
+		if task.State != Done {
+			t.Fatalf("completed task is %v, want done", task.State)
+		}
+		if err := s.Complete(task); !errors.Is(err, ErrBadTransition) {
+			t.Fatalf("second Complete = %v, want ErrBadTransition", err)
+		}
+	}
+	if ts := s.Tasks(); len(ts) != 1 || ts[0] != keep {
+		t.Fatalf("live tasks = %d, want only the pending one", len(ts))
+	}
+	if m := s.Metrics(); m.Created != 10001 || m.Completed != 10000 {
+		t.Errorf("metrics = %+v", m)
 	}
 }
 

@@ -617,3 +617,29 @@ func TestDrainMetricsExported(t *testing.T) {
 		t.Errorf("qos_serve_drain_flushed_total = %d (present %v), want 1", got, ok)
 	}
 }
+
+// TestShardsSplitOneTokenBudget checks the shards' token caches share
+// one service-wide budget of retrieval.DefaultMaxTokens, with at least
+// one token per shard.
+func TestShardsSplitOneTokenBudget(t *testing.T) {
+	cb, err := casebase.PaperCaseBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ shards, perShard int }{
+		{1, retrieval.DefaultMaxTokens},
+		{4, retrieval.DefaultMaxTokens / 4},
+		{3, retrieval.DefaultMaxTokens / 3},
+		{2 * retrieval.DefaultMaxTokens, 1},
+	} {
+		sn := newSnapshot(1, cb, c.shards, retrieval.Options{}, nil)
+		for _, tc := range []*retrieval.TokenCache{sn.tokens[0], sn.tokens[c.shards-1]} {
+			for i := 0; i <= retrieval.DefaultMaxTokens; i++ {
+				tc.StoreSig(fmt.Sprint(i), retrieval.Token{Type: 1})
+			}
+			if tc.Len() != c.perShard {
+				t.Errorf("%d shards: a shard holds %d tokens, want %d", c.shards, tc.Len(), c.perShard)
+			}
+		}
+	}
+}

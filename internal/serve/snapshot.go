@@ -31,15 +31,20 @@ type snapshot struct {
 func (s *Service) CaseBase() *casebase.CaseBase { return s.snap.Load().cb }
 
 // newSnapshot builds the epoch's per-shard engines and token caches
-// over cb. rm may be nil (uninstrumented service).
+// over cb. rm may be nil (uninstrumented service). The shards split one
+// token budget, retrieval.DefaultMaxTokens for the whole service — the
+// allocation manager's single cache holds the same — so adding shards
+// does not multiply the tokens held.
 func newSnapshot(epoch uint64, cb *casebase.CaseBase, shards int, opt retrieval.Options, rm *retrieval.Metrics) *snapshot {
 	sn := &snapshot{epoch: epoch, cb: cb}
+	perShard := max(retrieval.DefaultMaxTokens/shards, 1)
 	for i := 0; i < shards; i++ {
 		eng := retrieval.NewEngine(cb, opt)
 		if rm != nil {
 			eng.Instrument(rm)
 		}
 		tc := retrieval.NewTokenCache()
+		tc.SetMaxTokens(perShard)
 		tc.SetEpoch(epoch)
 		sn.engines = append(sn.engines, eng)
 		sn.tokens = append(sn.tokens, tc)

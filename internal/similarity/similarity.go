@@ -106,6 +106,9 @@ func dist(a, b attr.Value) float64 {
 
 // Amalgamation combines the local similarities s_i (with weights w_i,
 // already normalized to sum to 1) into a global similarity in [0, 1].
+// Combine must not retain or modify sims or weights: the retrieval
+// engine passes the same scratch slices for every implementation it
+// scores.
 type Amalgamation interface {
 	Combine(sims, weights []float64) float64
 	Name() string
