@@ -42,12 +42,13 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# Compacted-vs-uncompacted retrieval gate: measures both kernels at
-# paper scale and fails if the block-compacted path is slower than the
-# pointer-walking baseline. `make bench-compact OUT=BENCH_compact_retrieval.json`
-# refreshes the committed report.
+# Compacted retrieval gate: times the Q15 kernel against the
+# pointer-walk test oracle at paper scale and fails if the
+# block-compacted kernel is not faster. `make bench-compact
+# OUT=BENCH_compact_retrieval.json` refreshes the committed report; OUT
+# is made absolute because go test runs in the package directory.
 bench-compact:
-	QOS_BENCH_COMPACT=1 QOS_BENCH_OUT=$(OUT) $(GO) test -run TestCompactRetrievalSpeedup -count=1 -v .
+	QOS_BENCH_COMPACT=1 QOS_BENCH_OUT=$(if $(OUT),$(abspath $(OUT))) $(GO) test -run TestCompactRetrievalSpeedup -count=1 -v ./internal/retrieval/
 
 # Live-mutation read-path gate: measures the batched read path frozen
 # vs with the epoch-snapshot layer enabled (idle and under churn) and

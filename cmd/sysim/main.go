@@ -9,11 +9,6 @@
 //	sysim -stream 500     # additionally replay a 500-request synthetic stream
 //	sysim -stream 500 -faults "120000:slotfail:fpga0:1;200000:configerr:fpga0"
 //	                      # …while injecting a scripted fault plan
-//	sysim -serve -clients 32 -shards 8 -stream 400
-//	                      # drive the concurrent allocation service instead:
-//	                      # N client goroutines against the sharded batching
-//	                      # front end, then a deterministic batched-allocation
-//	                      # pass (DESIGN.md §9)
 //
 // The fault plan DSL is ';'-separated "at:kind:device[:slot]" events
 // with kinds slotfail, devfail, configerr and seu; times are simulation
@@ -35,16 +30,11 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"qosalloc"
 )
@@ -56,9 +46,6 @@ func main() {
 	faults := flag.String("faults", "", "fault plan to inject during the stream (at:kind:device[:slot];...)")
 	metrics := flag.String("metrics", "", "dump stream metrics after the run: prom, json or both")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	serveMode := flag.Bool("serve", false, "drive the concurrent allocation service instead of the scenario")
-	clients := flag.Int("clients", 16, "client goroutines in -serve mode")
-	shards := flag.Int("shards", 4, "retrieval shards in -serve mode")
 	flag.Parse()
 
 	switch *metrics {
@@ -78,22 +65,6 @@ func main() {
 	plan, err := qosalloc.ParseFaultPlan(*faults)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *serveMode {
-		n := *stream
-		if n <= 0 {
-			n = 200
-		}
-		var reg *qosalloc.ObsRegistry
-		if *metrics != "" {
-			reg = qosalloc.NewObsRegistry()
-		}
-		if err := runService(n, *clients, *shards, *seed, *repeat, reg); err != nil {
-			fatal(err)
-		}
-		dumpMetrics(*metrics, reg)
-		return
 	}
 
 	e, ok := qosalloc.ExperimentByID("system")
@@ -145,111 +116,6 @@ func dumpMetrics(mode string, reg *qosalloc.ObsRegistry) {
 			fatal(err)
 		}
 	}
-}
-
-// runService drives the DESIGN.md §9 service layer: a concurrent phase
-// (client goroutines against the sharded, batching front end) and a
-// deterministic batched-allocation phase. The retrieval results and the
-// placement counts are deterministic for a fixed seed; only the batch
-// shapes of the concurrent phase depend on scheduling.
-func runService(n, clients, shards int, seed int64, repeat float64, oreg *qosalloc.ObsRegistry) error {
-	if clients < 1 {
-		clients = 1
-	}
-	cb, reg, err := qosalloc.GenCaseBase(qosalloc.PaperScaleSpec())
-	if err != nil {
-		return err
-	}
-	reqs, err := qosalloc.GenRequests(cb, reg, qosalloc.RequestStreamSpec{
-		N: n, ConstraintsPer: 4, RepeatFraction: repeat, Seed: seed,
-	})
-	if err != nil {
-		return err
-	}
-	repo := qosalloc.NewRepository(20)
-	if err := repo.PopulateFromCaseBase(cb); err != nil {
-		return err
-	}
-	rt := qosalloc.NewRuntime(repo,
-		qosalloc.NewFPGADevice("fpga0", []qosalloc.FPGASlot{
-			{Slices: 1500, BRAMs: 8, Multipliers: 16},
-			{Slices: 1500, BRAMs: 8, Multipliers: 16},
-			{Slices: 1500, BRAMs: 8, Multipliers: 16},
-		}, 66),
-		qosalloc.NewProcessorDevice("dsp0", qosalloc.TargetDSP, 2000, 1<<20),
-		qosalloc.NewProcessorDevice("gpp0", qosalloc.TargetGPP, 2000, 1<<21),
-	)
-	svc := qosalloc.NewService(cb, rt,
-		qosalloc.WithShards(shards),
-		qosalloc.WithPreemption(true),
-		qosalloc.WithRegistry(oreg),
-	)
-	defer svc.Close()
-
-	fmt.Printf("=== service mode: %d clients, %d shards, %d requests ===\n", clients, shards, n)
-
-	// Phase 1: concurrent clients hammer the queued retrieval path;
-	// shed requests are retried after the hinted backoff.
-	ctx := context.Background()
-	var ok, failed, shedRetries atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := c; i < len(reqs); i += clients {
-				for {
-					_, err := svc.Retrieve(ctx, reqs[i])
-					var ov *qosalloc.ErrOverload
-					if errors.As(err, &ov) {
-						shedRetries.Add(1)
-						time.Sleep(time.Duration(ov.RetryAfter) * time.Microsecond)
-						continue
-					}
-					if err != nil {
-						failed.Add(1)
-					} else {
-						ok.Add(1)
-					}
-					break
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	st := svc.Stats()
-	fmt.Printf("retrieved:   %d ok, %d failed (%d shed then retried)\n",
-		ok.Load(), failed.Load(), shedRetries.Load())
-	fmt.Printf("batching:    %d micro-batches, largest %d, dedup %d, token hits %d, engine walks %d\n",
-		st.Batches, st.MaxBatch, st.DedupHits, st.TokenHits, st.EngineRetrievals)
-
-	// Phase 2: the same stream as pre-formed allocation batches —
-	// deterministic placement for a fixed seed.
-	var placed, noFeasible int
-	for lo := 0; lo < len(reqs); lo += 16 {
-		hi := min(lo+16, len(reqs))
-		out, err := svc.AllocateBatch(ctx, fmt.Sprintf("app%d", lo/16), reqs[lo:hi], 5)
-		if err != nil {
-			return err
-		}
-		for _, r := range out {
-			if r.Err != nil {
-				noFeasible++
-				continue
-			}
-			placed++
-			if err := svc.Release(r.Decision.Task.ID); err != nil {
-				return err
-			}
-		}
-		if err := svc.Advance(rt.Now() + 1000); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("placed:      %d of %d batched allocations (%d without a feasible variant)\n",
-		placed, n, noFeasible)
-	fmt.Printf("final power: %d mW across %d devices\n", rt.PowerMW(), len(rt.Devices()))
-	return nil
 }
 
 // replayStream pushes a generated request stream through a fresh

@@ -76,12 +76,6 @@ func TestCommandsRun(t *testing.T) {
 		{"sysim-faults", []string{"run", "./cmd/sysim", "-stream", "60",
 			"-faults", "20500:configerr:fpga0;30500:slotfail:fpga0:0;45500:slotfail:fpga0:1;50500:configerr:dsp0"},
 			[]string{"scripted faults", "[fault]", "0 dropped", "fault path:"}},
-		// The service layer (DESIGN.md §9): concurrent clients against
-		// the sharded batching front end, then a deterministic batched
-		// allocation pass — the placement count is seed-pinned.
-		{"sysim-serve", []string{"run", "./cmd/sysim", "-serve", "-clients", "8", "-shards", "4", "-stream", "120"},
-			[]string{"service mode: 8 clients, 4 shards", "retrieved:   120 ok, 0 failed",
-				"batching:", "placed:      95 of 120"}},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -210,12 +210,15 @@ func TestBitwidthSixteenMatchesFixedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe := retrieval.NewFixedEngine(cb)
 	req := casebase.PaperRequest()
+	column, err := retrieval.NewFixedEngine(cb).ScoreType(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ft, _ := cb.Type(req.Type)
 	for i := range ft.Impls {
 		im := &ft.Impls[i]
-		want := fe.Score(im, req)
+		want := column[i]
 		got := scoreAtWidth(cb, im, req, 16)
 		if int64(want) != got {
 			t.Errorf("impl %d: width-16 scorer %d != Q15 engine %d", im.ID, got, want)

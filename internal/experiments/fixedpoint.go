@@ -57,13 +57,21 @@ func FixedPointRun(trials int) (FixedPointData, error) {
 				return d, err
 			}
 			// Track the worst absolute similarity error across the
-			// whole scored field, not just the winner.
+			// whole scored field, not just the winner: the Q15 column
+			// is in storage order, zipped with the type's Impls.
+			column, err := fe.ScoreType(req)
+			if err != nil {
+				return d, err
+			}
 			ft, _ := cb.Type(req.Type)
 			for _, res := range all {
-				im, _ := ft.Impl(res.Impl)
-				fs := fe.Score(im, req).Float()
-				if e := math.Abs(fs - res.Similarity); e > d.WorstAbsErr {
-					d.WorstAbsErr = e
+				for i := range ft.Impls {
+					if ft.Impls[i].ID != res.Impl {
+						continue
+					}
+					if e := math.Abs(column[i].Float() - res.Similarity); e > d.WorstAbsErr {
+						d.WorstAbsErr = e
+					}
 				}
 			}
 			if len(all) > 1 && all[0].Similarity-all[1].Similarity < margin {

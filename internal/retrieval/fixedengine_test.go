@@ -3,6 +3,8 @@ package retrieval
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"qosalloc/internal/attr"
@@ -45,23 +47,26 @@ func TestFixedRetrieveNOrder(t *testing.T) {
 	}
 }
 
+// TestFixedRejectsInvalidRequest checks the rejection paths: unknown
+// type, empty constraint list, non-positive n.
 func TestFixedRejectsInvalidRequest(t *testing.T) {
-	cb, _ := casebase.PaperCaseBase()
+	cb, err := casebase.PaperCaseBase()
+	if err != nil {
+		t.Fatal(err)
+	}
 	fe := NewFixedEngine(cb)
 	bad := casebase.NewRequest(99, casebase.Constraint{ID: 1, Value: 16, Weight: 1})
 	if _, err := fe.Retrieve(bad); err == nil {
 		t.Error("unknown type must error")
 	}
-}
-
-func TestRecipExposed(t *testing.T) {
-	cb, _ := casebase.PaperCaseBase()
-	fe := NewFixedEngine(cb)
-	if _, ok := fe.Recip(uint16(casebase.AttrBitwidth)); !ok {
-		t.Error("Recip for a defined attribute must exist")
+	if _, err := fe.ScoreType(bad); err == nil {
+		t.Error("ScoreType: unknown type must error")
 	}
-	if _, ok := fe.Recip(999); ok {
-		t.Error("Recip for unknown attribute must be absent")
+	if _, err := fe.Retrieve(casebase.Request{Type: 1}); err == nil {
+		t.Error("empty constraint list accepted")
+	}
+	if _, err := fe.RetrieveN(casebase.PaperRequest(), 0); err == nil {
+		t.Error("n=0 accepted")
 	}
 }
 
@@ -171,12 +176,19 @@ func TestFixedSimilarityError(t *testing.T) {
 		e := NewEngine(cb, Options{})
 		req := randomRequest(r, cb, reg, 3)
 		all, _ := e.RetrieveAll(req)
+		column, err := fe.ScoreType(req)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ft, _ := cb.Type(req.Type)
 		for _, res := range all {
-			im, _ := ft.Impl(res.Impl)
-			f := fe.Score(im, req).Float()
-			if d := math.Abs(f - res.Similarity); d > worst {
-				worst = d
+			for i := range ft.Impls {
+				if ft.Impls[i].ID != res.Impl {
+					continue
+				}
+				if d := math.Abs(column[i].Float() - res.Similarity); d > worst {
+					worst = d
+				}
 			}
 		}
 	}
@@ -186,4 +198,43 @@ func TestFixedSimilarityError(t *testing.T) {
 		t.Errorf("worst fixed-vs-float similarity error = %v, want < 0.01", worst)
 	}
 	t.Logf("worst error = %.6f", worst)
+}
+
+// TestFixedEngineConcurrent pins the concurrency contract: one
+// FixedEngine shared by several goroutines returns what it returns
+// sequentially (run under -race).
+func TestFixedEngineConcurrent(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	cb, reg := randomCaseBase(r, 3, 8, 5, 10)
+	fe := NewFixedEngine(cb)
+	reqs := make([]casebase.Request, 32)
+	want := make([][]FixedResult, len(reqs))
+	for i := range reqs {
+		reqs[i] = randomRequest(r, cb, reg, 1+r.Intn(5))
+		var err error
+		if want[i], err = fe.RetrieveN(reqs[i], 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, req := range reqs {
+				best, err := fe.Retrieve(req)
+				if err != nil || best != want[i][0] {
+					t.Errorf("request %d: Retrieve %+v, %v; want %+v", i, best, err, want[i][0])
+				}
+				got, err := fe.RetrieveN(req, 3)
+				if err != nil || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("request %d: RetrieveN %+v, %v; want %+v", i, got, err, want[i])
+				}
+				if _, err := fe.ScoreType(req); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

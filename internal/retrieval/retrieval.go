@@ -3,14 +3,16 @@
 // implementation variant of the requested function type against the
 // request and return the best match(es).
 //
-// Two engines are provided. Engine is the double-precision reference —
-// the role Matlab plays in §4.2 — supporting pluggable similarity
-// measures. FixedEngine (fixedengine.go) reproduces the 16-bit datapath
-// arithmetic bit-for-bit, so that the paper's claim "we get the same
-// retrieval results in high precision floating point ... as we get from
-// VHDL simulation" can be checked as a property over randomized case
-// bases. The n-best extension sketched in §5 ("our next step will be an
-// extension for getting n most similar solutions") is RetrieveN.
+// Engine is the double-precision reference — the role Matlab plays in
+// §4.2 — supporting pluggable similarity measures. FixedEngine
+// (fixedengine.go) is the one Q15 kernel: it reproduces the 16-bit
+// datapath arithmetic bit-for-bit over the block-compacted attribute
+// layout of §5, so that the paper's claim "we get the same retrieval
+// results in high precision floating point ... as we get from VHDL
+// simulation" can be checked as a property over randomized case bases.
+// Engine's CompactLayout option serves its scores from that kernel. The
+// n-best extension sketched in §5 ("our next step will be an extension
+// for getting n most similar solutions") is RetrieveN.
 package retrieval
 
 import (
@@ -76,9 +78,9 @@ type Engine struct {
 	opt   Options
 	stats Stats
 	met   *Metrics
-	// compact is the block-compacted kernel, non-nil only when
+	// compact is the block-compacted Q15 kernel, non-nil only when
 	// Options.CompactLayout applies (default measures, no locals).
-	compact *CompactEngine
+	compact *FixedEngine
 
 	// Scratch every walk reuses, one slot per request constraint: the
 	// hoisted weights and DMax values, and the local similarities of
@@ -103,13 +105,15 @@ func NewEngine(cb *casebase.CaseBase, opt Options) *Engine {
 	// defaulted: a caller-supplied measure (or a locals request) means
 	// the floating-point path must run, because the compacted kernel
 	// hard-wires the paper's Linear/WeightedSum datapath arithmetic.
-	var compact *CompactEngine
+	var compact *FixedEngine
 	if opt.CompactLayout && opt.Local == nil && opt.Amalgamation == nil && !opt.KeepLocals {
-		// Construction fails only past the 16-bit word-address space
-		// of the compacted image; such a case base cannot exist in
+		// Compaction fails only past the 16-bit word-address space of
+		// the compacted image; such a case base cannot exist in
 		// hardware, so the software engine falls back to the
 		// floating-point path rather than refusing service.
-		compact, _ = NewCompactEngine(cb)
+		if fe := NewFixedEngine(cb); fe.err == nil {
+			compact = fe
+		}
 	}
 	if opt.Local == nil {
 		opt.Local = similarity.Linear{}
@@ -164,7 +168,16 @@ type walk struct {
 // per-constraint weights and DMax are looked up once here, not once per
 // implementation.
 func (e *Engine) begin(req casebase.Request) (walk, error) {
-	if err := req.Validate(e.cb); err != nil {
+	// On the compacted datapath the kernel's query preparation
+	// validates the request.
+	var q fixedQuery
+	var err error
+	if e.compact != nil {
+		q, err = e.compact.prepare(req)
+	} else {
+		err = req.Validate(e.cb)
+	}
+	if err != nil {
 		return walk{}, err
 	}
 	w := walk{e: e, typ: req.Type, cs: req.Constraints, start: e.met.start()}
@@ -177,11 +190,7 @@ func (e *Engine) begin(req casebase.Request) (walk, error) {
 		// Compacted datapath: one kernel pass yields the Q15 column in
 		// storage order; implementation metadata is zipped back in from
 		// the case base, which shares that order.
-		column, err := e.compact.scoreType(req)
-		if err != nil {
-			return walk{}, err
-		}
-		w.column = column
+		w.column = e.compact.column(&q)
 		return w, nil
 	}
 	reg := e.cb.Registry()

@@ -237,6 +237,95 @@ func TestAllocateBatchDeterministic(t *testing.T) {
 	}
 }
 
+// TestPaperScaleClientsThenBatches drives the Table 3 case base on a
+// 3-slot FPGA + DSP + GPP platform in two phases. First, concurrent
+// clients retrieve the whole stream, retrying after the hinted backoff
+// when shed: every retrieval must succeed. Then the same stream is
+// placed as pre-formed batches of 16, each placement released and the
+// clock advanced between batches: the placement count is seed-pinned.
+func TestPaperScaleClientsThenBatches(t *testing.T) {
+	cb, reg, err := workload.GenCaseBase(workload.PaperScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.GenRequests(cb, reg, workload.RequestStreamSpec{
+		N: 120, ConstraintsPer: 4, RepeatFraction: 0.5, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo := device.NewRepository(20)
+	if err := repo.PopulateFromCaseBase(cb); err != nil {
+		t.Fatal(err)
+	}
+	slot := device.Slot{Slices: 1500, BRAMs: 8, Multipliers: 16}
+	sys := rtsys.NewSystem(repo,
+		device.NewFPGA("fpga0", []device.Slot{slot, slot, slot}, 66),
+		device.NewProcessor("dsp0", casebase.TargetDSP, 2000, 1<<20),
+		device.NewProcessor("gpp0", casebase.TargetGPP, 2000, 1<<21),
+	)
+	s := New(cb, sys, Config{Shards: 4, Manager: alloc.Options{AllowPreemption: true}})
+	defer s.Close()
+
+	ctx := context.Background()
+	const clients = 8
+	var wg sync.WaitGroup
+	errc := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < len(reqs); i += clients {
+				for {
+					_, err := s.Retrieve(ctx, reqs[i])
+					var ov *ErrOverload
+					if errors.As(err, &ov) {
+						time.Sleep(time.Duration(ov.RetryAfter) * time.Microsecond)
+						continue
+					}
+					if err != nil {
+						errc <- fmt.Errorf("client %d, request %d: %w", c, i, err)
+						return
+					}
+					break
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+
+	placed := 0
+	for lo := 0; lo < len(reqs); lo += 16 {
+		hi := min(lo+16, len(reqs))
+		out, err := s.AllocateBatch(ctx, fmt.Sprintf("app%d", lo/16), reqs[lo:hi], 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, r := range out {
+			if r.Err != nil {
+				if !isNoFeasible(r.Err) {
+					t.Fatalf("request %d: %v", lo+k, r.Err)
+				}
+				continue
+			}
+			placed++
+			if err := s.Release(r.Decision.Task.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Advance(sys.Now() + 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if placed != 95 {
+		t.Errorf("placed %d of %d batched allocations, want 95", placed, len(reqs))
+	}
+}
+
 // TestOverloadShedsTyped pins admission control: with the single shard
 // wedged (its mutex held) and a queue of one, the third request must be
 // refused with a typed *ErrOverload carrying a retry hint.

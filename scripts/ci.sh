@@ -21,10 +21,10 @@ go test -race ./...
 go test -run 'TestObs' ./internal/experiments/
 # Every benchmark must still compile and survive one iteration.
 go test -run xxx -bench . -benchtime 1x ./...
-# Block-compacted retrieval must not be slower than the pointer-walking
-# baseline (PR 7 gate; the committed BENCH_compact_retrieval.json is
-# refreshed deliberately with `make bench-compact OUT=...`).
-QOS_BENCH_COMPACT=1 go test -run TestCompactRetrievalSpeedup -count=1 .
+# The block-compacted Q15 kernel must be faster than the pointer-walk
+# test oracle (the committed BENCH_compact_retrieval.json is refreshed
+# deliberately with `make bench-compact OUT=...`).
+QOS_BENCH_COMPACT=1 go test -run TestCompactRetrievalSpeedup -count=1 ./internal/retrieval/
 # Enabling the live-mutation layer must not slow the batched read path
 # beyond noise (PR 9 gate; the committed BENCH_learn_churn.json is
 # refreshed deliberately with `make bench-learn OUT=...`).
