@@ -82,9 +82,6 @@ func NewDelta(base *casebase.CaseBase, alpha float64) (*Delta, error) {
 // Observations returns how many observations are pending in this delta.
 func (d *Delta) Observations() int { return d.obs }
 
-// Empty reports whether the delta holds no pending state.
-func (d *Delta) Empty() bool { return d.obs == 0 }
-
 // Observe folds one measurement into the pending EWMA state, exactly
 // like Learner.Observe but against the committed base plus this delta's
 // own state. It returns the change in the LSB-visible revision count:

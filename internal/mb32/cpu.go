@@ -66,9 +66,6 @@ func New(prog []Instr, memBytes int) *CPU {
 	return &CPU{Prog: prog, Mem: make([]byte, memBytes), Cost: MicroBlazeCosts()}
 }
 
-// Halted reports whether a HALT retired.
-func (c *CPU) Halted() bool { return c.halt }
-
 // LoadHalfwords copies 16-bit words into memory at the given byte
 // address, little-endian — how BRAM-resident list images are made visible
 // to the software retrieval routine.

@@ -85,9 +85,6 @@ func (cc *CompactCaseBase) NumTypes() int { return len(cc.TypeIDs) }
 // NumImpls returns the total number of implementation variants.
 func (cc *CompactCaseBase) NumImpls() int { return len(cc.ImplIDs) }
 
-// NumPairs returns the total number of packed attribute pairs.
-func (cc *CompactCaseBase) NumPairs() int { return len(cc.AttrIDs) }
-
 // Words returns the flat-image word count of the compacted layout.
 func (cc *CompactCaseBase) Words() int {
 	return CompactWordsShape(len(cc.TypeIDs), len(cc.ImplIDs), len(cc.AttrIDs), len(cc.SuppIDs))

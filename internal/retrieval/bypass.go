@@ -155,29 +155,44 @@ func (tc *TokenCache) remove(i int32) {
 // be bypassed for the second one. Weights participate via their exact
 // bit pattern. The key is binary — 16-bit type, then 16-bit ID, 16-bit
 // value and the 64-bit weight per constraint, little-endian — because
-// it is only ever a map key, and it sits on the hot batching path.
+// it is only ever compared as a key, and it sits on the hot batching
+// path.
 func Signature(req casebase.Request) string {
-	var buf [2 + 12*8]byte // a request of up to 8 constraints stays on the stack
-	b := binary.LittleEndian.AppendUint16(buf[:0], uint16(req.Type))
+	var buf [sigStackBytes]byte
+	return string(AppendSignature(buf[:0], req))
+}
+
+// sigStackBytes sizes the stack buffers Signature, Lookup and Store
+// build a key in: a request of up to 8 constraints never reaches the
+// heap.
+const sigStackBytes = 2 + 12*8
+
+// AppendSignature appends req's Signature bytes to dst and returns the
+// extended slice. Callers that keep a buffer per request (the serve
+// layer's pooled jobs) derive keys without allocating.
+func AppendSignature(dst []byte, req casebase.Request) []byte {
+	b := binary.LittleEndian.AppendUint16(dst, uint16(req.Type))
 	for _, c := range req.Constraints {
 		b = binary.LittleEndian.AppendUint16(b, uint16(c.ID))
 		b = binary.LittleEndian.AppendUint16(b, uint16(c.Value))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Weight))
 	}
-	return string(b)
+	return b
 }
 
 // Lookup returns the token for req if one is cached, refreshing its
 // recency.
 func (tc *TokenCache) Lookup(req casebase.Request) (Token, bool) {
-	return tc.LookupSig(Signature(req))
+	var buf [sigStackBytes]byte
+	return tc.LookupSig(AppendSignature(buf[:0], req))
 }
 
-// LookupSig is Lookup keyed by a precomputed Signature — callers that
-// already derived the signature (the serve batcher dedups on it) avoid
-// recomputing it.
-func (tc *TokenCache) LookupSig(sig string) (Token, bool) {
-	i, ok := tc.index[sig]
+// LookupSig is Lookup keyed by precomputed signature bytes (see
+// AppendSignature) — callers that already derived the signature (the
+// serve batcher dedups on it) avoid recomputing it. It does not
+// allocate.
+func (tc *TokenCache) LookupSig(sig []byte) (Token, bool) {
+	i, ok := tc.index[string(sig)]
 	if !ok {
 		tc.misses++
 		return Token{}, false
@@ -190,16 +205,20 @@ func (tc *TokenCache) LookupSig(sig string) (Token, bool) {
 // Store caches a token for req as the most recently used entry, evicting
 // the LRU tail when the cap is exceeded.
 func (tc *TokenCache) Store(req casebase.Request, t Token) {
-	tc.StoreSig(Signature(req), t)
+	var buf [sigStackBytes]byte
+	tc.StoreSig(AppendSignature(buf[:0], req), t)
 }
 
-// StoreSig is Store keyed by a precomputed Signature.
-func (tc *TokenCache) StoreSig(key string, t Token) {
-	if i, ok := tc.index[key]; ok {
+// StoreSig is Store keyed by precomputed signature bytes. The bytes are
+// copied into a string key only when they insert a new entry, so
+// refreshing a cached signature does not allocate.
+func (tc *TokenCache) StoreSig(sig []byte, t Token) {
+	if i, ok := tc.index[string(sig)]; ok {
 		tc.slots[i].tok = t
 		tc.touch(i)
 		return
 	}
+	key := string(sig)
 	i := int32(len(tc.slots))
 	tc.slots = append(tc.slots, tokenSlot{key: key, tok: t})
 	tc.index[key] = i

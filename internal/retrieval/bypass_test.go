@@ -338,11 +338,11 @@ func TestTokenCacheMatchesModel(t *testing.T) {
 			switch p := r.Intn(100); {
 			case p < 40:
 				op = "store " + key
-				tc.StoreSig(key, tok)
+				tc.StoreSig([]byte(key), tok)
 				m.store(key, tok)
 			case p < 80:
 				op = "lookup " + key
-				got, ok := tc.LookupSig(key)
+				got, ok := tc.LookupSig([]byte(key))
 				want, wok := m.lookup(key)
 				if got != want || ok != wok {
 					t.Fatalf("seed %d step %d %s: got %+v %v, want %+v %v", seed, step, op, got, ok, want, wok)

@@ -182,31 +182,36 @@ func tableThreeStream(t *testing.T) (*casebase.CaseBase, []casebase.Request) {
 
 // TestWalkAllocs gates the served retrieval path's allocations per
 // call at the Table 3 shape: the float walk allocates nothing, RetrieveN
-// only its result slice, a token lookup nothing and a token store at
-// most its index growth, amortized to zero.
+// only its result slice, a signature appended into a reused buffer
+// nothing, a token lookup nothing, and a token store only the key of an
+// entry it inserts: refreshing a cached signature allocates nothing.
 func TestWalkAllocs(t *testing.T) {
 	cb, reqs := tableThreeStream(t)
 	e := NewEngine(cb, Options{})
-	sigs := make([]string, len(reqs))
+	sigs := make([][]byte, len(reqs))
 	for i, rq := range reqs {
-		sigs[i] = Signature(rq)
+		sigs[i] = AppendSignature(nil, rq)
 	}
 	// A cache smaller than the stream: every store past the first lap
 	// evicts, so the store gate covers the remove-and-reinsert path.
 	tc := NewTokenCache()
 	tc.SetMaxTokens(len(sigs) / 2)
+	// A cache holding the whole stream: every store refreshes.
+	full := NewTokenCache()
 	for _, s := range sigs {
 		tc.StoreSig(s, Token{Type: 1})
+		full.StoreSig(s, Token{Type: 1})
 	}
 	next := 0
 	req := func() casebase.Request {
 		next++
 		return reqs[next%len(reqs)]
 	}
-	sig := func() string {
+	sig := func() []byte {
 		next++
 		return sigs[next%len(sigs)]
 	}
+	var buf []byte
 	for _, g := range []struct {
 		name string
 		max  float64
@@ -222,8 +227,12 @@ func TestWalkAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"TokenCache.StoreSig", 0, func() { tc.StoreSig(sig(), Token{Type: 2}) }},
+		{"TokenCache.StoreSig insert", 1, func() { tc.StoreSig(sig(), Token{Type: 2}) }},
+		{"TokenCache.StoreSig refresh", 0, func() { full.StoreSig(sig(), Token{Type: 2}) }},
+		{"TokenCache.Store refresh", 0, func() { full.Store(req(), Token{Type: 3}) }},
 		{"TokenCache.LookupSig", 0, func() { tc.LookupSig(sig()) }},
+		{"TokenCache.Lookup", 0, func() { tc.Lookup(req()) }},
+		{"AppendSignature", 0, func() { buf = AppendSignature(buf[:0], req()) }},
 		{"Signature", 1, func() { _ = Signature(req()) }},
 	} {
 		if got := testing.AllocsPerRun(500, g.fn); got > g.max {

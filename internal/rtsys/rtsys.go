@@ -14,6 +14,7 @@ package rtsys
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"qosalloc/internal/casebase"
@@ -142,6 +143,7 @@ type Metrics struct {
 type System struct {
 	now     device.Micros
 	devices []device.Device
+	byKind  map[casebase.Target][]device.Device // devices split by Kind, in devices order
 	repo    *device.Repository
 	tasks   map[TaskID]*Task
 	nextID  TaskID
@@ -170,8 +172,12 @@ type System struct {
 // NewSystem builds a run-time system over the given devices and
 // repository. Default aging: +1 priority level per 10 ms waited.
 func NewSystem(repo *device.Repository, devs ...device.Device) *System {
+	byKind := make(map[casebase.Target][]device.Device)
+	for _, d := range devs {
+		byKind[d.Kind()] = append(byKind[d.Kind()], d)
+	}
 	return &System{
-		devices: devs, repo: repo,
+		devices: devs, byKind: byKind, repo: repo,
 		tasks:            make(map[TaskID]*Task),
 		nextID:           1,
 		met:              newRTMetrics(nil),
@@ -196,15 +202,13 @@ func (s *System) Repository() *device.Repository { return s.repo }
 // Metrics returns a copy of the counters.
 func (s *System) Metrics() Metrics { return s.metrics }
 
-// DevicesByKind returns the devices hosting the given target class.
+// DevicesByKind returns the devices hosting the given target class, in
+// NewSystem order. The device set is fixed at NewSystem, so the slice is
+// built once there and shared by every call: it is read-only, and a
+// caller must not write its elements. It is returned clipped, so an
+// append copies instead of writing into the shared backing array.
 func (s *System) DevicesByKind(k casebase.Target) []device.Device {
-	var out []device.Device
-	for _, d := range s.devices {
-		if d.Kind() == k {
-			out = append(out, d)
-		}
-	}
-	return out
+	return slices.Clip(s.byKind[k])
 }
 
 // Task returns a live task by handle; a completed task is forgotten and

@@ -261,3 +261,39 @@ func TestStateString(t *testing.T) {
 		}
 	}
 }
+
+// TestDevicesByKind pins the per-kind index built at NewSystem: a
+// kind's devices in NewSystem order, no allocation per call, and a
+// clipped slice, so two callers appending to it cannot overwrite each
+// other through the shared backing array.
+func TestDevicesByKind(t *testing.T) {
+	dsps := []device.Device{
+		device.NewProcessor("dsp0", casebase.TargetDSP, 1000, 1024),
+		device.NewProcessor("dsp1", casebase.TargetDSP, 1000, 1024),
+		device.NewProcessor("dsp2", casebase.TargetDSP, 1000, 1024),
+	}
+	fpga := device.NewFPGA("fpga0", []device.Slot{{Slices: 1500, BRAMs: 8, Multipliers: 16}}, 66)
+	gpp := device.NewProcessor("gpp0", casebase.TargetGPP, 1000, 1024)
+	s := NewSystem(device.NewRepository(4), dsps[0], fpga, dsps[1], gpp, dsps[2])
+
+	got := s.DevicesByKind(casebase.TargetDSP)
+	if len(got) != len(dsps) {
+		t.Fatalf("DSPs = %d devices, want %d", len(got), len(dsps))
+	}
+	for i := range dsps {
+		if got[i] != dsps[i] {
+			t.Errorf("DSP %d = %s, want %s", i, got[i].Name(), dsps[i].Name())
+		}
+	}
+	if fp := s.DevicesByKind(casebase.TargetFPGA); len(fp) != 1 || fp[0] != fpga {
+		t.Errorf("FPGAs = %v, want [fpga0]", fp)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.DevicesByKind(casebase.TargetDSP) }); n != 0 {
+		t.Errorf("DevicesByKind: %v allocs/op, want 0", n)
+	}
+	a := append(s.DevicesByKind(casebase.TargetDSP), gpp)
+	_ = append(s.DevicesByKind(casebase.TargetDSP), fpga)
+	if a[len(dsps)] != gpp {
+		t.Error("an append to one DevicesByKind result overwrote another's")
+	}
+}

@@ -32,6 +32,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -157,15 +158,29 @@ const (
 	jobCandidates                // N-best list feeding a placement
 )
 
-// job is one queued retrieval unit.
+// job is one queued retrieval unit. Jobs are pooled: each keeps its
+// done channel and its signature buffer across reuses, so a served
+// request allocates neither. A job goes back to the pool only after its
+// caller has taken the reply. One abandoned on a dead context or at
+// shutdown is never recycled, because a worker may still hold it and
+// will still send on its done channel.
 type job struct {
 	ctx  context.Context
 	kind jobKind
 	req  casebase.Request
 	n    int    // candidate depth for jobCandidates
-	sig  string // request signature (dedup key)
+	sig  []byte // request signature (dedup and token key)
 	at   device.Micros
 	done chan jobResult // buffered(1); the worker always sends
+}
+
+var jobPool = sync.Pool{New: func() any { return &job{done: make(chan jobResult, 1)} }}
+
+// putJob recycles a job no worker holds any more, dropping the caller's
+// context and constraints so the pool does not pin them.
+func putJob(j *job) {
+	j.ctx, j.req = nil, casebase.Request{}
+	jobPool.Put(j)
 }
 
 type jobResult struct {
@@ -173,15 +188,6 @@ type jobResult struct {
 	list  []retrieval.Result
 	epoch uint64 // snapshot epoch the retrieval ran against
 	err   error
-}
-
-// jobKey is the singleflight key: kind-qualified signature, so a
-// best-match walk never masks a deeper candidate walk.
-func jobKey(j *job) string {
-	if j.kind == jobCandidates {
-		return fmt.Sprintf("c%d|%s", j.n, j.sig)
-	}
-	return "r|" + j.sig
 }
 
 // shard is one partition: a queue plus the mutex serializing its slice
@@ -195,7 +201,32 @@ type shard struct {
 	idx int
 	q   chan *job
 
-	mu sync.Mutex // serializes this shard's engine and token cache
+	mu sync.Mutex // serializes this shard's engine, token cache and the scratch below
+
+	// flights is the singleflight table of the batch in progress: one
+	// entry per distinct key resolved so far, its signature packed into
+	// keys. A batch holds at most MaxBatch jobs, so a linear scan replaces
+	// a per-batch map; endBatch empties both so no result list outlives
+	// its batch.
+	flights []flight
+	keys    []byte
+	sig     []byte // signature buffer for pre-formed groups (runGroup)
+}
+
+// flight is one resolved singleflight key and the result every later
+// job with the same key shares. The key is kind-qualified, so a
+// best-match walk never masks a deeper candidate walk.
+type flight struct {
+	kind     jobKind
+	n        int
+	off, end int // signature bytes in shard.keys
+	res      jobResult
+}
+
+// endBatch empties the flight table. Caller holds sh.mu.
+func (sh *shard) endBatch() {
+	clear(sh.flights)
+	sh.flights, sh.keys = sh.flights[:0], sh.keys[:0]
 }
 
 // Service is the concurrent allocation front end. Create with New,
@@ -478,25 +509,42 @@ func (s *Service) Retrieve(ctx context.Context, req casebase.Request) (retrieval
 	if err := retrieval.Canceled(ctx); err != nil {
 		return retrieval.Result{}, err
 	}
-	j := &job{ctx: ctx, kind: jobRetrieve, req: req, done: make(chan jobResult, 1)}
-	if err := s.submit(j); err != nil {
+	r, err := s.call(ctx, jobRetrieve, req, 0)
+	if err != nil {
 		return retrieval.Result{}, err
+	}
+	return r.best, r.err
+}
+
+// call submits one pooled job through its shard queue and waits for the
+// reply. The job is recycled only when the reply was taken (or it was
+// never admitted); a caller that gives up leaves it to the worker. The
+// signature is derived here, on the caller's goroutine.
+func (s *Service) call(ctx context.Context, kind jobKind, req casebase.Request, n int) (jobResult, error) {
+	j := jobPool.Get().(*job)
+	j.ctx, j.kind, j.req, j.n = ctx, kind, req, n
+	j.sig = retrieval.AppendSignature(j.sig[:0], req)
+	if err := s.submit(j); err != nil {
+		putJob(j)
+		return jobResult{}, err
 	}
 	select {
 	case r := <-j.done:
-		return r.best, r.err
+		putJob(j)
+		return r, nil
 	case <-ctx.Done():
-		return retrieval.Result{}, retrieval.Canceled(ctx)
+		return jobResult{}, retrieval.Canceled(ctx)
 	case <-s.done:
 		// done closes only after the drain flush answered every
 		// admitted job, so the reply is already buffered — but select
 		// picks arms at random when both are ready; prefer the result.
 		select {
 		case r := <-j.done:
-			return r.best, r.err
+			putJob(j)
+			return r, nil
 		default:
 		}
-		return retrieval.Result{}, ErrDraining
+		return jobResult{}, ErrDraining
 	}
 }
 
@@ -556,23 +604,11 @@ const maxStaleRetries = 2
 // candidates fetches the N-best list for one request through the shard
 // queue, returning the epoch it was scored against.
 func (s *Service) candidates(ctx context.Context, req casebase.Request) ([]retrieval.Result, uint64, error) {
-	j := &job{ctx: ctx, kind: jobCandidates, req: req, n: s.cfg.Manager.NBest, done: make(chan jobResult, 1)}
-	if err := s.submit(j); err != nil {
+	r, err := s.call(ctx, jobCandidates, req, s.cfg.Manager.NBest)
+	if err != nil {
 		return nil, 0, err
 	}
-	select {
-	case r := <-j.done:
-		return r.list, r.epoch, r.err
-	case <-ctx.Done():
-		return nil, 0, retrieval.Canceled(ctx)
-	case <-s.done:
-		select { // prefer the buffered reply (see Retrieve)
-		case r := <-j.done:
-			return r.list, r.epoch, r.err
-		default:
-		}
-		return nil, 0, ErrDraining
-	}
+	return r.list, r.epoch, r.err
 }
 
 // RetrieveOutcome is one RetrieveBatch element: the result or the
@@ -695,7 +731,6 @@ func (s *Service) submit(j *job) error {
 		return ErrDraining
 	}
 	sh := s.shardFor(j.req.Type)
-	j.sig = retrieval.Signature(j.req)
 	j.at = device.Micros(s.now.Load())
 	met := s.met.Load()
 	select {
@@ -826,9 +861,9 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 	defer met.busy[sh.idx].Set(0)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	defer sh.endBatch()
 	sn := s.snap.Load()
 	s.noteBatch(met, len(batch))
-	seen := make(map[string]*jobResult, len(batch))
 	for _, j := range batch {
 		if err := retrieval.Canceled(j.ctx); err != nil {
 			s.canceled.Add(1)
@@ -836,7 +871,7 @@ func (s *Service) runBatch(sh *shard, batch []*job) {
 			j.done <- jobResult{err: err}
 			continue
 		}
-		j.done <- s.resolve(sn, sh, j, seen, met)
+		j.done <- s.resolve(sn, sh, j, met)
 	}
 }
 
@@ -850,9 +885,9 @@ func (s *Service) runGroup(ctx context.Context, sh *shard, reqs []casebase.Reque
 	defer met.busy[sh.idx].Set(0)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	defer sh.endBatch()
 	sn := s.snap.Load() // after sh.mu — see runBatch
 	s.noteBatch(met, len(idxs))
-	seen := make(map[string]*jobResult, len(idxs))
 	for _, i := range idxs {
 		if err := retrieval.Canceled(ctx); err != nil {
 			s.canceled.Add(1)
@@ -860,8 +895,9 @@ func (s *Service) runGroup(ctx context.Context, sh *shard, reqs []casebase.Reque
 			errs[i] = err
 			continue
 		}
-		j := &job{ctx: ctx, kind: kind, req: reqs[i], n: n, sig: retrieval.Signature(reqs[i])}
-		r := s.resolve(sn, sh, j, seen, met)
+		sh.sig = retrieval.AppendSignature(sh.sig[:0], reqs[i])
+		j := job{ctx: ctx, kind: kind, req: reqs[i], n: n, sig: sh.sig}
+		r := s.resolve(sn, sh, &j, met)
 		bests[i], lists[i], epochs[i], errs[i] = r.best, r.list, r.epoch, r.err
 	}
 }
@@ -880,17 +916,21 @@ func (s *Service) noteBatch(met *metrics, n int) {
 	}
 }
 
-// resolve serves one job from the singleflight map, the token cache, or
-// an engine walk against the sn epoch. Caller holds sh.mu.
-func (s *Service) resolve(sn *snapshot, sh *shard, j *job, seen map[string]*jobResult, met *metrics) jobResult {
-	key := jobKey(j)
-	if r, ok := seen[key]; ok {
-		s.dedupHits.Add(1)
-		met.dedup.Inc()
-		return *r
+// resolve serves one job from the batch's flight table, the token
+// cache, or an engine walk against the sn epoch. Caller holds sh.mu.
+func (s *Service) resolve(sn *snapshot, sh *shard, j *job, met *metrics) jobResult {
+	for i := range sh.flights {
+		f := &sh.flights[i]
+		if f.kind == j.kind && f.n == j.n && bytes.Equal(sh.keys[f.off:f.end], j.sig) {
+			s.dedupHits.Add(1)
+			met.dedup.Inc()
+			return f.res
+		}
 	}
 	r := s.runJob(sn, sh, j, met)
-	seen[key] = &r
+	off := len(sh.keys)
+	sh.keys = append(sh.keys, j.sig...)
+	sh.flights = append(sh.flights, flight{kind: j.kind, n: j.n, off: off, end: len(sh.keys), res: r})
 	return r
 }
 

@@ -724,7 +724,7 @@ func TestShardsSplitOneTokenBudget(t *testing.T) {
 		sn := newSnapshot(1, cb, c.shards, retrieval.Options{}, nil)
 		for _, tc := range []*retrieval.TokenCache{sn.tokens[0], sn.tokens[c.shards-1]} {
 			for i := 0; i <= retrieval.DefaultMaxTokens; i++ {
-				tc.StoreSig(fmt.Sprint(i), retrieval.Token{Type: 1})
+				tc.StoreSig([]byte(fmt.Sprint(i)), retrieval.Token{Type: 1})
 			}
 			if tc.Len() != c.perShard {
 				t.Errorf("%d shards: a shard holds %d tokens, want %d", c.shards, tc.Len(), c.perShard)

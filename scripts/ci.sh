@@ -17,6 +17,10 @@ go vet ./...
 go build -o bin/qosvet ./cmd/qosvet
 go vet -vettool="$(pwd)/bin/qosvet" ./...
 go test -race ./...
+# Allocation gates on the walk and the served request path. Under -race
+# sync.Pool drops items at random and TestServeAllocs skips, so they run
+# once more without it.
+go test -run 'TestWalkAllocs|TestServeAllocs' -count=1 ./internal/retrieval ./internal/serve
 # Observability goldens: deterministic counters and bit-exact replay.
 go test -run 'TestObs' ./internal/experiments/
 # Every benchmark must still compile and survive one iteration.
